@@ -1,17 +1,15 @@
-//! Executor throughput: row-at-a-time vs row-major batches vs columnar.
+//! Executor throughput: row-at-a-time vs columnar batches.
 //!
-//! PR 2 left replay wall-clock dominated by query execution; PR 3 added
-//! the row-major batch pipeline, and PR 4 made it columnar
-//! (`specdb_exec::batch`): scans forward cached column segments
-//! zero-copy, filters build selection vectors, projection is column
-//! pointer selection, and index-nested-loop joins probe batch-at-a-time.
-//! This bench runs a memory-resident TPC-H workload (scans, joins,
-//! aggregates) through all three [`ExecMode`]s plus a fourth arm running
-//! the columnar pipeline with four morsel workers
-//! (`Database::set_threads(4)`, PR 5) and a fifth running it with
-//! segment encoding disabled (`Database::set_encoding(false)`, PR 7 —
-//! plain segments, no dictionaries or zone maps) — the batch arms with
-//! every table's segments pinned — verifying along the way that rows and
+//! The columnar pipeline (`specdb_exec::batch`) forwards cached column
+//! segments zero-copy, filters into selection vectors, projects by
+//! column pointer selection, and probes index-nested-loop joins
+//! batch-at-a-time. This bench runs a memory-resident TPC-H workload
+//! (scans, joins, aggregates) through both [`ExecMode`]s plus a third
+//! arm running the columnar pipeline with four morsel workers
+//! (`Database::set_threads(4)`) and a fourth running it with segment
+//! encoding disabled (`Database::set_encoding(false)` — plain segments,
+//! no dictionaries or zone maps) — the columnar arms with every table's
+//! segments pinned — verifying along the way that rows and
 //! virtual-time accounting are bit-identical across modes, thread
 //! counts, and encodings (all of them wall-clock optimizations only).
 //! The artifact also records the encoded-segment compression ratio and
@@ -102,8 +100,8 @@ fn write_json(path: &std::path::Path, body: &str) {
     }
 }
 
-/// The three measured pipelines, in bench-progression order.
-const MODES: [ExecMode; 3] = [ExecMode::Row, ExecMode::BatchRow, ExecMode::Columnar];
+/// The two measured pipelines, in bench-progression order.
+const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Columnar];
 
 fn main() {
     let smoke = std::env::var("SPECDB_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
@@ -121,7 +119,7 @@ fn main() {
     );
     let base = build_base_db(&spec_ds).expect("base db");
     // One arm per mode. The memory-resident fast path under test: pin
-    // every table's decoded column segments for the batch arms
+    // every table's decoded column segments for the columnar arm
     // (materialized speculation results get this automatically from
     // `Database::materialize`); the row path never reads the cache.
     let mut arms: Vec<Database> = MODES
@@ -138,14 +136,14 @@ fn main() {
             db
         })
         .collect();
-    // Fourth arm: the columnar pipeline with four morsel workers
+    // Third arm: the columnar pipeline with four morsel workers
     // (bit-identical to serial columnar by contract; wall-clock only).
     {
         let mut db = arms.last().expect("columnar arm").clone();
         db.set_threads(4);
         arms.push(db);
     }
-    // Fifth arm: serial columnar with segment encoding off — plain
+    // Fourth arm: serial columnar with segment encoding off — plain
     // `ColumnVec` segments, no dictionaries, no zone maps. The baseline
     // the encoded kernels must beat on dictionary-friendly scans.
     {
@@ -165,14 +163,14 @@ fn main() {
         arms.iter_mut().map(|db| run_workload(db, &qs)).collect();
     let identical = warm.iter().all(|w| *w == warm[0]);
     assert!(identical, "executor modes diverged: {warm:?}");
-    let seg_pages = arms[2].pool().seg_resident();
+    let seg_pages = arms[1].pool().seg_resident();
 
     // Storage-format stats, on a dedicated clone of the encoded columnar
     // arm so the metrics observer never perturbs the timed arms: resident
     // encoded vs would-be-plain bytes, and zone-map page skips over one
     // workload pass.
     let (compression_ratio, pages_skipped) = {
-        let mut db = arms[2].clone();
+        let mut db = arms[1].clone();
         db.set_observer(specdb_obs::Observer::enabled());
         run_workload(&mut db, &qs);
         let snap = db.observer().metrics().snapshot();
@@ -199,10 +197,8 @@ fn main() {
     let us: Vec<f64> = arms.iter_mut().map(|db| time_arm(db, &qs, passes)).collect();
     let arm_samples: Vec<Vec<f64>> =
         arms.iter_mut().map(|db| sample_arm(db, &qs, passes)).collect();
-    let (row_us, batch_row_us, columnar_us, par4_us, plain_us) =
-        (us[0], us[1], us[2], us[3], us[4]);
+    let (row_us, columnar_us, par4_us, plain_us) = (us[0], us[1], us[2], us[3]);
     let speedup = row_us / columnar_us.max(1e-9);
-    let speedup_vs_batch_row = batch_row_us / columnar_us.max(1e-9);
     let par4_speedup = columnar_us / par4_us.max(1e-9);
     let encoded_speedup_vs_plain = plain_us / columnar_us.max(1e-9);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -215,29 +211,28 @@ fn main() {
             .map(|db| time_arm(db, std::slice::from_ref(q), passes))
             .collect();
         eprintln!(
-            "executor:   q{qi}: row {:7.1} | batch-row {:7.1} | columnar {:7.1} | \
+            "executor:   q{qi}: row {:7.1} | columnar {:7.1} | \
              par4 {:7.1} | plain {:7.1} us ({:.2}x vs row, {:.2}x vs plain)  {}",
             per[0],
             per[1],
             per[2],
             per[3],
-            per[4],
-            per[0] / per[2].max(1e-9),
-            per[4] / per[2].max(1e-9),
+            per[0] / per[1].max(1e-9),
+            per[3] / per[1].max(1e-9),
             sql
         );
         per_query.push(per);
     }
     // q0 is the dictionary-friendly scan (low-cardinality string
     // equality): the encoded kernel's headline matchup against plain.
-    let encoded_q0_speedup = per_query[0][4] / per_query[0][2].max(1e-9);
+    let encoded_q0_speedup = per_query[0][3] / per_query[0][1].max(1e-9);
 
     println!();
     println!(
         "executor ({} queries x {passes} passes, {seg_pages} segment-cached pages, \
-         {cores} cores): row {row_us:.1} | batch-row {batch_row_us:.1} | \
+         {cores} cores): row {row_us:.1} | \
          columnar {columnar_us:.1} | par4 {par4_us:.1} | plain {plain_us:.1} us/query \
-         ({speedup:.2}x vs row, {speedup_vs_batch_row:.2}x vs batch-row, \
+         ({speedup:.2}x vs row, \
          par4 {par4_speedup:.2}x vs columnar, encoded {encoded_speedup_vs_plain:.2}x vs plain, \
          compression {compression_ratio:.2}x, {pages_skipped} pages skipped)",
         qs.len()
@@ -247,12 +242,12 @@ fn main() {
         "{{\n  \"bench\": \"executor\",\n  \"smoke\": {smoke},\n  \
          \"dataset\": \"{}\",\n  \"dataset_mb\": {},\n  \"queries\": {},\n  \"passes\": {passes},\n  \
          \"seg_cached_pages\": {seg_pages},\n  \"host_cores\": {cores},\n  \
-         \"us_per_query\": {{ \"row\": {row_us:.3}, \"batch_row\": {batch_row_us:.3}, \
+         \"us_per_query\": {{ \"row\": {row_us:.3}, \
          \"batch_columnar\": {columnar_us:.3}, \"batch_columnar_par4\": {par4_us:.3}, \
          \"batch_columnar_plain\": {plain_us:.3} }},\n  \
-         \"us_per_query_quantiles\": {{ \"row\": {}, \"batch_row\": {}, \
+         \"us_per_query_quantiles\": {{ \"row\": {}, \
          \"batch_columnar\": {}, \"batch_columnar_par4\": {}, \"batch_columnar_plain\": {} }},\n  \
-         \"speedup\": {speedup:.3},\n  \"speedup_vs_batch_row\": {speedup_vs_batch_row:.3},\n  \
+         \"speedup\": {speedup:.3},\n  \
          \"par4_speedup_vs_columnar\": {par4_speedup:.3},\n  \
          \"encoded_speedup_vs_plain\": {encoded_speedup_vs_plain:.3},\n  \
          \"encoded_q0_speedup_vs_plain\": {encoded_q0_speedup:.3},\n  \
@@ -265,22 +260,14 @@ fn main() {
         specdb_bench::quantiles_json(&arm_samples[1]),
         specdb_bench::quantiles_json(&arm_samples[2]),
         specdb_bench::quantiles_json(&arm_samples[3]),
-        specdb_bench::quantiles_json(&arm_samples[4]),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_executor.json");
     write_json(&path, &json);
 
     // CI regression gate: on the smoke workload the columnar path must
-    // not be slower than the row baseline, nor meaningfully slower than
-    // the row-major batch pipeline it replaced (10% noise allowance).
+    // not be slower than the row baseline.
     if smoke && speedup < 1.0 {
         eprintln!("executor: FAIL — columnar path slower than row path ({speedup:.2}x)");
-        std::process::exit(1);
-    }
-    if smoke && speedup_vs_batch_row < 0.9 {
-        eprintln!(
-            "executor: FAIL — columnar path regressed vs batch-row ({speedup_vs_batch_row:.2}x)"
-        );
         std::process::exit(1);
     }
     // Encoding gate: on the dictionary-friendly scan (q0, string

@@ -10,7 +10,8 @@
 //! a per-user profile supplying the probability terms.
 //!
 //! * [`manipulation`] — the five operation types (null, histogram
-//!   creation, index creation, query materialization, query rewriting),
+//!   creation, index creation, query materialization, query rewriting)
+//!   and [`apply_manipulation`], which executes one against the engine,
 //! * [`space`] — candidate enumeration over the current partial query,
 //! * [`cost_model`] — `Cost⊆(m) = f⊆(qm)·(cost(qm,m) − cost(qm,m∅))`,
 //!   with the depth-n extension and a completion-probability factor,
@@ -18,25 +19,22 @@
 //!   online logistic-regression alternative, behind the [`Profile`]
 //!   trait (with uniform and oracle baselines),
 //! * [`speculator`] — decision making, cancellation tests, and the
-//!   garbage-collection heuristic,
-//! * [`session`] — a live, threaded runtime (`SpeculativeSession`) that
-//!   runs manipulations on a background thread while the caller edits —
-//!   the embeddable form of the system for real applications. The
-//!   experiment harness in `specdb-sim` instead drives the speculator on
-//!   a virtual clock.
+//!   garbage-collection heuristic.
+//!
+//! Two runtimes run the speculator: `specdb-serve`'s `ServeSession` on
+//! real threads and wall-clock time (the one applications embed), and
+//! `specdb-sim`'s replay on a virtual clock.
 
 pub mod cost_model;
 pub mod learner;
 pub mod manipulation;
-pub mod session;
 pub mod space;
 pub mod speculator;
 
 pub use cost_model::{CostModel, CostModelConfig};
 pub use learner::predict::EditPredictor;
 pub use learner::{Learner, LearnerConfig, OracleProfile, Profile, UniformProfile};
-pub use manipulation::Manipulation;
-pub use session::SpeculativeSession;
+pub use manipulation::{apply_manipulation, Applied, Manipulation};
 pub use space::{IncrementalSpace, ManipulationSpace, SpaceConfig};
 pub use speculator::{Decision, Speculator, SpeculatorConfig};
 

@@ -4,8 +4,8 @@
 //! manipulation space, scores each candidate with the cost model and the
 //! user profile, and picks the minimum — `m∅` (do nothing) when no
 //! candidate has negative expected cost. The surrounding runtime (the
-//! discrete-event harness in `specdb-sim`, or the live
-//! [`crate::session::SpeculativeSession`]) enforces the paper's three
+//! discrete-event harness in `specdb-sim`, or the live `ServeSession`
+//! in `specdb-serve`) enforces the paper's three
 //! operating conventions: manipulations run asynchronously, at most one
 //! is outstanding, and results are garbage-collected when the partial
 //! query stops supporting them.

@@ -2,8 +2,8 @@
 //!
 //! The default executor path. Operators exchange [`ColumnBatch`]es —
 //! per-column `Vec<Value>` vectors shared by `Arc`, plus an optional
-//! selection vector listing the live row indexes — instead of the
-//! row-major `Vec<Tuple>` chunks of [`crate::batch_row`]:
+//! selection vector listing the live row indexes — instead of
+//! row-major `Vec<Tuple>` chunks:
 //!
 //! * **scans** forward a heap page's cached [`ColumnSegment`] columns
 //!   zero-copy ([`specdb_storage::BufferPool::read_page_columnar`]),

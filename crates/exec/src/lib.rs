@@ -13,9 +13,6 @@
 //!   operators exchange [`batch::ColumnBatch`]es of `Arc`-shared column
 //!   vectors with selection vectors; scans forward cached column
 //!   segments zero-copy and fuse filter/project,
-//! * [`batch_row`] — the legacy row-major batch pipeline
-//!   (`Vec<Tuple>` chunks), kept as a bench arm and second
-//!   differential witness,
 //! * [`estimate`] — cardinality/cost estimation from catalog statistics
 //!   and histograms,
 //! * [`optimizer`] — access-path selection and greedy join ordering,
@@ -26,7 +23,6 @@
 //!   operation's virtual elapsed time.
 
 pub mod batch;
-pub mod batch_row;
 pub mod context;
 pub mod engine;
 pub mod error;
@@ -39,7 +35,6 @@ pub mod rewrite;
 pub mod run;
 
 pub use batch::{run_batched, run_collect_batched, ColumnBatch, DEFAULT_BATCH_SIZE};
-pub use batch_row::Batch;
 pub use context::{BatchStats, CancelToken, ExecCtx};
 pub use engine::{
     threads_from_env, Database, DatabaseConfig, ExecMode, MaterializeOutcome, OpOutcome,

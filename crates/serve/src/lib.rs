@@ -5,7 +5,9 @@
 //! [`SessionManager`] runs N simultaneous interactive sessions against
 //! one shared [`Database`], each session with its own partial-query
 //! state and Learner profile, fronted by a small line/JSON wire
-//! protocol over TCP ([`serve`]).
+//! protocol over TCP ([`serve`]). A manager with one session is the
+//! embeddable speculative runtime for a single user (see the
+//! `exploratory_session` and `sql_shell` examples).
 //!
 //! Two fleet-level mechanisms replace the paper's single-user
 //! conventions:

@@ -5,7 +5,7 @@ use crate::artifacts::{CacheStats, SessionId, SharedArtifactCache};
 use crate::governor::{Governor, GovernorConfig, GovernorStats};
 use crate::session::ServeSession;
 use parking_lot::Mutex;
-use specdb_core::SpeculatorConfig;
+use specdb_core::{Learner, SpeculatorConfig};
 use specdb_exec::Database;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,9 @@ pub struct FleetStats {
 
 /// Owns the shared [`Database`] and hands out [`ServeSession`]s that
 /// speculate under one fleet-wide [`Governor`] and share one
-/// [`SharedArtifactCache`].
+/// [`SharedArtifactCache`]. With a single session it is the embeddable
+/// speculative runtime; [`SessionManager::into_database`] hands the
+/// database back when the application is done.
 pub struct SessionManager {
     db: Arc<Mutex<Database>>,
     governor: Arc<Governor>,
@@ -48,9 +50,19 @@ impl SessionManager {
         }
     }
 
-    /// Open a new session. Session ids are unique for the manager's
-    /// lifetime (never reused).
+    /// Open a new session with a fresh user profile. Session ids are
+    /// unique for the manager's lifetime (never reused).
     pub fn connect(&self, name: &str) -> (SessionId, Arc<Mutex<ServeSession>>) {
+        self.connect_with_learner(name, Learner::default())
+    }
+
+    /// Open a new session that resumes a previously trained user profile
+    /// (see [`Learner::to_json`] / [`Learner::from_json`]).
+    pub fn connect_with_learner(
+        &self,
+        name: &str,
+        learner: Learner,
+    ) -> (SessionId, Arc<Mutex<ServeSession>>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(Mutex::new(ServeSession::new(
             id,
@@ -59,6 +71,7 @@ impl SessionManager {
             self.spec_config.clone(),
             Arc::clone(&self.governor),
             Arc::clone(&self.artifacts),
+            learner,
         )));
         self.sessions.lock().insert(id, Arc::clone(&session));
         (id, session)
@@ -104,6 +117,24 @@ impl SessionManager {
             sessions: self.session_count() as u64,
             governor: self.governor.stats(),
             cache: self.artifacts.stats(),
+        }
+    }
+
+    /// Tear down: close every session (cancelling and joining in-flight
+    /// builds, collecting unleased artifacts) and return the database.
+    ///
+    /// # Panics
+    ///
+    /// If a [`ServeSession`] handle from [`SessionManager::connect`] is
+    /// still alive outside the manager: it shares the database.
+    pub fn into_database(self) -> Database {
+        let ids: Vec<SessionId> = self.sessions.lock().keys().copied().collect();
+        for id in ids {
+            self.disconnect(id);
+        }
+        match Arc::try_unwrap(self.db) {
+            Ok(db) => db.into_inner(),
+            Err(_) => panic!("into_database: drop every ServeSession handle first"),
         }
     }
 }

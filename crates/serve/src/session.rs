@@ -1,19 +1,27 @@
 //! One serving session: per-user partial query, Learner profile, and
 //! speculative builds gated by the fleet governor.
 //!
-//! [`ServeSession`] is the multi-session counterpart of
-//! [`specdb_core::SpeculativeSession`]: same edit/GO lifecycle, same
-//! background build thread, but the database is *shared* with every
-//! other session, builds must win a slot from the [`Governor`], and
-//! speculative artifacts are registered in the [`SharedArtifactCache`]
-//! so any session's GO can reuse them.
+//! [`ServeSession`] is the wall-clock speculative runtime an application
+//! embeds: feed it [`EditOp`]s as the user works and call
+//! [`ServeSession::go`] when they hit the button. Between edits a
+//! background thread executes the speculator's chosen manipulation;
+//! edits that invalidate it cancel it at the next morsel boundary, and
+//! GO cancels whatever is still running — the paper's asynchronous-
+//! execution conventions on real threads. The database is *shared* with
+//! every other session of the [`SessionManager`], builds must win a slot
+//! from the [`Governor`], and speculative artifacts are registered in
+//! the [`SharedArtifactCache`] so any session's GO can reuse them. (The
+//! experiment harness in `specdb-sim` runs the same conventions on a
+//! virtual clock.)
+//!
+//! [`SessionManager`]: crate::SessionManager
 
 use crate::artifacts::{BeginBuild, CompleteBuild, SessionId, SharedArtifactCache};
 use crate::governor::{Admission, Governor};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::Serialize;
-use specdb_core::session::apply_manipulation;
+use specdb_core::apply_manipulation;
 use specdb_core::{Learner, Manipulation, Speculator, SpeculatorConfig};
 use specdb_exec::{CancelToken, Database, ExecResult, QueryOutput};
 use specdb_query::{EditOp, PartialQuery, Query};
@@ -73,9 +81,10 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// A new session over the shared database. Sessions are normally
-    /// created through [`SessionManager::connect`], which wires the
-    /// shared governor and artifact cache.
+    /// A new session over the shared database, speculating with the
+    /// given user profile. Sessions are normally created through
+    /// [`SessionManager::connect`], which wires the shared governor and
+    /// artifact cache.
     ///
     /// [`SessionManager::connect`]: crate::SessionManager::connect
     pub fn new(
@@ -85,6 +94,7 @@ impl ServeSession {
         spec: SpeculatorConfig,
         governor: Arc<Governor>,
         artifacts: Arc<SharedArtifactCache>,
+        learner: Learner,
     ) -> Self {
         ServeSession {
             id,
@@ -93,7 +103,7 @@ impl ServeSession {
             speculator: Arc::new(Speculator::new(spec)),
             governor,
             artifacts,
-            learner: Learner::default(),
+            learner,
             partial: PartialQuery::new(),
             outstanding: None,
             events: unbounded(),
@@ -254,16 +264,25 @@ impl ServeSession {
     }
 
     /// The user pressed GO: resolve the in-flight build, execute the
-    /// final query, account cross-session artifact hits, and run the
+    /// canvas query, account cross-session artifact hits, and run the
     /// lease-aware GC sweep.
     pub fn go(&mut self) -> ExecResult<GoOutcome> {
+        let final_query: Query = self.partial.query().clone();
+        self.go_with(&final_query)
+    }
+
+    /// [`ServeSession::go`] with an explicit final query whose *core* is
+    /// the current canvas. Lets a front end attach layers the canvas
+    /// cannot express (projection lists built elsewhere, aggregates —
+    /// see the `sql_shell` example); learning, leases and GC still key
+    /// off the query's graph.
+    pub fn go_with(&mut self, final_query: &Query) -> ExecResult<GoOutcome> {
         self.resolve_outstanding(true);
         let now = self.now();
-        let final_query: Query = self.partial.query().clone();
         self.learner.observe_go(now, &final_query.graph);
         let (result, collected) = {
             let mut db = self.db.lock();
-            let r = db.execute(&final_query)?;
+            let r = db.execute(final_query)?;
             // Lease against the final query, then sweep artifacts no
             // session supports any more.
             let keys = db.supported_view_keys(&final_query.graph);
@@ -292,6 +311,16 @@ impl ServeSession {
     /// The current partial query graph.
     pub fn partial(&self) -> &specdb_query::QueryGraph {
         self.partial.graph()
+    }
+
+    /// The session's user profile. Persist it with [`Learner::to_json`]
+    /// and resume it in a later session through
+    /// [`SessionManager::connect_with_learner`]: the paper's Learner
+    /// accumulates knowledge of a user *across* sessions.
+    ///
+    /// [`SessionManager::connect_with_learner`]: crate::SessionManager::connect_with_learner
+    pub fn learner(&self) -> &Learner {
+        &self.learner
     }
 
     /// Session counters (drains pending worker events first).

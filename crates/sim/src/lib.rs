@@ -12,7 +12,8 @@
 //!   DESIGN.md) and the all-subset-join materialized-view baseline of
 //!   Figure 6,
 //! * [`replay`] — single-user replay: the speculator issues cancellable
-//!   asynchronous manipulations during recorded think time,
+//!   asynchronous manipulations during recorded think time (run as the
+//!   one-session case of [`multi_session`]),
 //! * [`multi`] — multi-user replay: several traces share the engine and
 //!   a processor-sharing disk (Figure 7),
 //! * [`multi_session`] — concurrent-session replay under the

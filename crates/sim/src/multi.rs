@@ -11,10 +11,11 @@
 //! executing it atomically against the shared engine at issue time, with
 //! completion (and cancellation rollback) handled on the virtual clock.
 
-use crate::replay::{ProfileKind, QueryMeasurement, ReplayConfig, ReplayOutcome};
-use specdb_core::session::apply_manipulation;
-use specdb_core::{Learner, LearnerConfig, Manipulation, Speculator};
-use specdb_exec::{CancelToken, Database, ExecResult};
+use crate::replay::{
+    issue_gated, rollback, Pending, ProfileState, QueryMeasurement, ReplayConfig, ReplayOutcome,
+};
+use specdb_core::Speculator;
+use specdb_exec::{Database, ExecResult};
 use specdb_query::{EditOp, PartialQuery};
 use specdb_storage::VirtualTime;
 use specdb_trace::Trace;
@@ -46,18 +47,12 @@ struct UserSim {
     idx: usize,
     offset: VirtualTime,
     pq: PartialQuery,
-    learner: Box<Learner>,
-    pending: Option<PendingManip>,
+    profile: ProfileState,
+    /// The in-flight manipulation and its processor-sharing job id.
+    pending: Option<(u64, Pending)>,
     blocked: Option<BlockedOn>,
     out: ReplayOutcome,
     query_index: usize,
-}
-
-struct PendingManip {
-    job_id: u64,
-    manipulation: Manipulation,
-    table: Option<String>,
-    duration: VirtualTime,
 }
 
 struct BlockedOn {
@@ -65,16 +60,6 @@ struct BlockedOn {
     go_trace_at: VirtualTime,
     go_sim_at: f64,
     rows: u64,
-}
-
-fn rollback(db: &mut Database, p: &PendingManip) {
-    match (&p.manipulation, &p.table) {
-        (_, Some(t)) => db.drop_materialized(t),
-        (Manipulation::CreateIndex { table, column }, None) => db.drop_index(table, column),
-        (Manipulation::CreateHistogram { table, column }, None) => db.drop_histogram(table, column),
-        (Manipulation::DataStage { table, .. }, None) => db.unstage(table),
-        _ => {}
-    }
 }
 
 /// Replay several traces simultaneously against one shared database.
@@ -85,10 +70,6 @@ pub fn replay_multi(
 ) -> ExecResult<MultiOutcome> {
     db.clear_buffer();
     let speculator = Speculator::new(config.speculator.clone());
-    let learner_cfg = match &config.profile {
-        ProfileKind::Learner(cfg) => cfg.clone(),
-        _ => LearnerConfig::default(),
-    };
     let mut users: Vec<UserSim> = traces
         .iter()
         .map(|t| UserSim {
@@ -96,7 +77,7 @@ pub fn replay_multi(
             idx: 0,
             offset: VirtualTime::ZERO,
             pq: PartialQuery::new(),
-            learner: Box::new(Learner::new(learner_cfg.clone())),
+            profile: ProfileState::new(&config.profile),
             pending: None,
             blocked: None,
             out: ReplayOutcome::default(),
@@ -186,8 +167,8 @@ pub fn replay_multi(
                         VirtualTime::from_secs_f64(now_secs).saturating_sub(blocked.go_trace_at);
                 }
                 JobKind::Manipulation => {
-                    if let Some(p) = users[job.user].pending.take() {
-                        debug_assert_eq!(p.job_id, job.id);
+                    if let Some((job_id, p)) = users[job.user].pending.take() {
+                        debug_assert_eq!(job_id, job.id);
                         users[job.user].out.completed += 1;
                         users[job.user].out.manipulation_times.push(p.duration);
                     }
@@ -230,8 +211,8 @@ fn handle_arrival(
     let now_vt = VirtualTime::from_secs_f64(now_secs);
     if let EditOp::Go = te.op {
         // Cancel an unfinished in-flight manipulation (paper convention).
-        if let Some(p) = user.pending.take() {
-            if let Some(pos) = jobs.iter().position(|j| j.id == p.job_id) {
+        if let Some((job_id, p)) = user.pending.take() {
+            if let Some(pos) = jobs.iter().position(|j| j.id == job_id) {
                 jobs.remove(pos);
                 user.out.cancelled += 1;
                 rollback(db, &p);
@@ -242,7 +223,7 @@ fn handle_arrival(
             }
         }
         let final_query = user.pq.query().clone();
-        user.learner.observe_go(now_vt, &final_query.graph);
+        user.profile.observe_go(now_vt, &final_query.graph);
         let result = db.execute_discard(&final_query)?;
         for name in speculator.gc_candidates(db, &final_query.graph) {
             db.drop_materialized(&name);
@@ -268,18 +249,19 @@ fn handle_arrival(
         });
         return Ok(());
     }
-    user.learner.observe_edit(now_vt, &te.op);
+    user.profile.observe_edit(now_vt, &te.op);
     user.pq.apply(&te.op);
     // Invalidation check for the in-flight manipulation.
-    if let Some(p) = &user.pending {
-        let still_running = jobs.iter().any(|j| j.id == p.job_id);
+    if let Some((job_id, p)) = &user.pending {
+        let job_id = *job_id;
+        let still_running = jobs.iter().any(|j| j.id == job_id);
         if !still_running {
-            let p = user.pending.take().unwrap();
+            let (_, p) = user.pending.take().unwrap();
             user.out.completed += 1;
             user.out.manipulation_times.push(p.duration);
         } else if speculator.should_cancel(&p.manipulation, user.pq.graph()) {
-            let p = user.pending.take().unwrap();
-            if let Some(pos) = jobs.iter().position(|j| j.id == p.job_id) {
+            let (_, p) = user.pending.take().unwrap();
+            if let Some(pos) = jobs.iter().position(|j| j.id == job_id) {
                 jobs.remove(pos);
             }
             user.out.cancelled += 1;
@@ -314,34 +296,18 @@ fn maybe_issue(
         }
     }
     let now_vt = VirtualTime::from_secs_f64(now_secs);
-    let elapsed = user
-        .learner
-        .formulation_start()
-        .map(|s| now_vt.saturating_sub(s))
-        .unwrap_or_default();
-    let decision = speculator.decide(user.pq.graph(), db, user.learner.as_ref(), elapsed);
-    if !decision.is_idle() {
-        match apply_manipulation(db, &decision.manipulation, CancelToken::new()) {
-            Ok(applied) => {
-                user.out.issued += 1;
-                let id = *next_job_id;
-                *next_job_id += 1;
-                jobs.push(Job {
-                    id,
-                    user: user_idx,
-                    kind: JobKind::Manipulation,
-                    remaining_secs: applied.elapsed.as_secs_f64().max(1e-6),
-                });
-                user.pending = Some(PendingManip {
-                    job_id: id,
-                    manipulation: decision.manipulation,
-                    table: applied.table,
-                    duration: applied.elapsed,
-                });
-            }
-            Err(e) if e.is_cancelled() => {}
-            Err(e) => return Err(e),
-        }
+    let issued =
+        issue_gated(db, speculator, &user.profile, &user.pq, &mut user.out, now_vt, &mut |_| true)?;
+    if let Some(p) = issued {
+        let id = *next_job_id;
+        *next_job_id += 1;
+        jobs.push(Job {
+            id,
+            user: user_idx,
+            kind: JobKind::Manipulation,
+            remaining_secs: p.duration.as_secs_f64().max(1e-6),
+        });
+        user.pending = Some((id, p));
     }
     Ok(())
 }
@@ -380,6 +346,25 @@ mod tests {
             assert_eq!(u.queries.len(), 6);
             assert_eq!(u.issued, u.completed + u.cancelled);
         }
+    }
+
+    #[test]
+    fn replay_multi_honours_the_chosen_profile() {
+        // A profile that expects no part of the query to survive makes
+        // every manipulation worthless, so nothing may be issued.
+        use crate::replay::ProfileKind;
+        use specdb_core::UniformProfile;
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let ts = traces(3, 6, 5);
+        let issued = |profile: ProfileKind| {
+            let mut db = base.clone();
+            let cfg = ReplayConfig { profile, ..multi_config(true) };
+            let out = replay_multi(&mut db, &ts, &cfg).unwrap();
+            out.per_user.iter().map(|u| u.issued).sum::<u64>()
+        };
+        assert!(issued(ProfileKind::default()) > 0, "the Learner run must speculate");
+        let never = UniformProfile { p: 0.0, ..Default::default() };
+        assert_eq!(issued(ProfileKind::Uniform(never)), 0);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! a view materialized for one session serves every session's final
 //! queries, with cross-session reuse accounted per use.
 //!
-//! **Bit-identity.** With one trace and a budget ≥ 1, the loop reduces
-//! exactly to [`crate::replay::replay_trace`]: it drains, cancels, issues, and
-//! garbage-collects through the very same `pub(crate)` helpers, the
-//! governor admits every candidate (a free slot always exists and
-//! non-idle decisions always carry a positive benefit rate), and the
-//! cross-session hooks never fire. `tests/determinism.rs` pins this.
+//! **One session.** With one trace the governor admits every candidate
+//! (a free slot always exists and non-idle decisions always carry a
+//! positive benefit rate) and the cross-session hooks never fire, so the
+//! loop is the paper's single-user replay; [`crate::replay::replay_trace`]
+//! is exactly this call. `tests/determinism.rs` pins its outcomes.
 //!
 //! **Approximations** (shared with [`crate::multi`]): sessions do not
 //! contend for virtual disk or CPU — each query's measured time is
@@ -289,8 +288,8 @@ pub fn replay_multi_session(
     Ok(out)
 }
 
-/// Issue session `si`'s best manipulation through the governor gate.
-/// Mirrors the single-session `issue` exactly when the gate admits.
+/// Issue session `si`'s best manipulation through the dedupe check and
+/// the governor gate.
 fn try_issue(
     db: &mut Database,
     sessions: &mut [SessionState],
@@ -357,8 +356,10 @@ fn try_issue(
     Ok(())
 }
 
-/// Drain session `si`'s completions due by `now` — the multi-session
-/// twin of the drain loop at the top of `replay_trace`'s edit loop.
+/// Drain session `si`'s completions due by `now`. With pipelining on,
+/// each completion frees the session's slot and the speculator issues
+/// the next-best manipulation at the completion instant; the
+/// paper-faithful default waits for the next edit.
 fn drain_completions(
     db: &mut Database,
     sessions: &mut [SessionState],
@@ -449,9 +450,11 @@ fn process_go(
 ) -> ExecResult<()> {
     let observer = db.observer().clone();
     let tracer = observer.tracer().clone();
-    // Resolve the in-flight manipulation at GO — cancel, or wait out
-    // the remainder under the wait-at-GO policy (same rule as the
-    // single-session replay).
+    // Resolve the in-flight manipulation at GO. The paper's prototype
+    // always cancels; with `wait_at_go` (its Section 7 suggestion) the
+    // session waits out the remainder when it is smaller than the
+    // manipulation's estimated per-query benefit, charging the wait to
+    // the query's measured time.
     let mut wait = VirtualTime::ZERO;
     if let Some(p) = sessions[si].pending.take() {
         let remaining = p.finish_at.saturating_sub(now);
@@ -487,9 +490,11 @@ fn process_go(
         .metrics()
         .histogram("lat.query_secs")
         .record((result.elapsed + wait).as_secs_f64());
-    // Settle this session's own bets first (verbatim single-session
-    // accounting), then the fleet's: a read of a committed foreign
-    // build is a shared hit and marks the *builder's* bet as paid off.
+    // Settle this session's own bets first — a completed
+    // materialization read by this plan counts as used once, and its
+    // predicted per-query benefit is calibrated against the realized
+    // saving — then the fleet's: a read of a committed foreign build is
+    // a shared hit and marks the *builder's* bet as paid off.
     let go_key = Database::graph_key(&final_query.graph);
     for view in &result.used_views {
         let s = &mut sessions[si];
@@ -641,36 +646,11 @@ fn settle_drop(
 mod tests {
     use super::*;
     use crate::dataset::{build_base_db, DatasetSpec};
-    use crate::replay::replay_trace;
     use specdb_trace::{UserModel, UserModelConfig};
 
     fn small_trace(queries: usize, seed: u64) -> Trace {
         let cfg = UserModelConfig { queries, questions: 2, ..Default::default() };
         UserModel::new(cfg, specdb_tpch::ExploreDomain::tpch()).generate("u", seed)
-    }
-
-    #[test]
-    fn single_session_is_bit_identical_to_replay_trace() {
-        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-        let trace = small_trace(10, 21);
-        let mut db1 = base.clone();
-        let single = replay_trace(&mut db1, &trace, &ReplayConfig::speculative()).unwrap();
-        for budget in [1usize, 2, 8] {
-            let mut db2 = base.clone();
-            let cfg = MultiSessionConfig {
-                replay: ReplayConfig::speculative(),
-                governor: GovernorConfig { max_outstanding: budget, ..Default::default() },
-            };
-            let multi = replay_multi_session(&mut db2, std::slice::from_ref(&trace), &cfg).unwrap();
-            assert_eq!(multi.per_session.len(), 1);
-            assert_eq!(
-                multi.per_session[0], single,
-                "governor with budget {budget} must not change a lone session"
-            );
-            assert_eq!(multi.shared_hits, 0);
-            assert_eq!(multi.preempted, 0);
-            assert_eq!(multi.deduped, 0);
-        }
     }
 
     #[test]

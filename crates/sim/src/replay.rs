@@ -1,10 +1,10 @@
-//! Single-user trace replay on a virtual clock.
+//! Single-user trace replay on a virtual clock: configuration, outcome,
+//! and the lifecycle steps the replay loop is built from.
 //!
-//! The replay walks the trace's timed edits. Under speculative
-//! processing, each edit gives the Speculator a decision point; a chosen
-//! manipulation is executed against the engine immediately (to obtain
-//! its true cost and effects) but *commits* only at
-//! `issue_time + duration` on the virtual clock — an edit that
+//! Under speculative processing, each edit gives the Speculator a
+//! decision point; a chosen manipulation is executed against the engine
+//! immediately (to obtain its true cost and effects) but *commits* only
+//! at `issue_time + duration` on the virtual clock — an edit that
 //! invalidates it, or a GO arriving first, cancels it and rolls its
 //! effects back, exactly the paper's conventions (asynchronous
 //! execution, one outstanding manipulation, cancel-on-GO, and the
@@ -14,8 +14,12 @@
 //! duration (the user cannot resume until results return), so normal and
 //! speculative replays of the same trace diverge in absolute time while
 //! preserving the user's recorded think gaps.
+//!
+//! There is one event loop, [`crate::multi_session`]'s; [`replay_trace`]
+//! is that loop over a single trace.
 
-use specdb_core::session::apply_manipulation;
+use crate::multi_session::{replay_multi_session, MultiSessionConfig};
+use specdb_core::apply_manipulation;
 use specdb_core::{
     Learner, LearnerConfig, Manipulation, OracleProfile, Profile, Speculator, SpeculatorConfig,
     UniformProfile,
@@ -23,6 +27,7 @@ use specdb_core::{
 use specdb_exec::{CancelToken, Database, ExecResult};
 use specdb_obs::{CancelReason, Event, EventKind, Observer};
 use specdb_query::PartialQuery;
+use specdb_serve::GovernorConfig;
 use specdb_storage::VirtualTime;
 use specdb_trace::Trace;
 use std::collections::HashMap;
@@ -377,26 +382,10 @@ pub(crate) fn complete(
     }
 }
 
-/// Issue the best manipulation at `at` if the slot is free; returns
-/// the new pending state. Shared verbatim by the single-session replay
-/// and the multi-session governor replay so the two stay bit-identical.
-pub(crate) fn issue(
-    db: &mut Database,
-    speculator: &Speculator,
-    profile: &ProfileState,
-    pq: &PartialQuery,
-    out: &mut ReplayOutcome,
-    at: VirtualTime,
-) -> ExecResult<Option<Pending>> {
-    issue_gated(db, speculator, profile, pq, out, at, &mut |_| true)
-}
-
-/// [`issue`], with an admission gate consulted between the speculator's
-/// decision and its execution. The multi-session replay hangs the
-/// fleet governor here; a gate that always admits reproduces the
-/// single-session path exactly (same decisions, same effects, same
-/// counters), which is what keeps the governor's single-session replay
-/// bit-identical to the pre-governor one.
+/// Ask the speculator for the best manipulation at `at` and, if the
+/// `admit` gate accepts the decision, execute it; returns the new
+/// pending state. The fleet replay hangs its dedupe check and the
+/// governor on the gate.
 pub(crate) fn issue_gated(
     db: &mut Database,
     speculator: &Speculator,
@@ -473,234 +462,18 @@ pub(crate) fn issue_gated(
     }
 }
 
-/// Replay one trace against the database (cold buffer at start).
+/// Replay one trace against the database (cold buffer at start): the
+/// one-session case of [`replay_multi_session`], under the default
+/// governor. A lone session always wins a free slot, so the governor
+/// never changes its decisions.
 pub fn replay_trace(
     db: &mut Database,
     trace: &Trace,
     config: &ReplayConfig,
 ) -> ExecResult<ReplayOutcome> {
-    if config.cold_start {
-        db.clear_buffer();
-    }
-    let observer = db.observer().clone();
-    let tracer = observer.tracer().clone();
-    let session_span = tracer.begin(
-        specdb_obs::SpanKind::Session,
-        if config.speculative { "replay_speculative" } else { "replay_normal" },
-        0,
-    );
-    let speculator = Speculator::new(config.speculator.clone());
-    let mut profile = ProfileState::new(&config.profile);
-    let mut pq = PartialQuery::new();
-    let mut offset = VirtualTime::ZERO;
-    let mut pending: Option<Pending> = None;
-    let mut completed_views: HashMap<String, CompletedView> = HashMap::new();
-    let mut out = ReplayOutcome::default();
-    let mut query_index = 0usize;
-    // Virtual instant the current question (formulation) started —
-    // feeds the `lat.time_to_go_secs` histogram.
-    let mut question_start: Option<VirtualTime> = None;
-
-    for te in &trace.edits {
-        let now = te.at + offset;
-        observer.set_now_micros(now.as_micros());
-        // Drain completions due before `now`. With pipelining on, each
-        // completion frees the single outstanding slot and the speculator
-        // immediately issues the next-best manipulation at the completion
-        // instant; the paper-faithful default waits for the next edit.
-        if config.speculative {
-            while let Some(p) = pending.take() {
-                if p.finish_at <= now {
-                    let completed_at = p.finish_at;
-                    complete(&observer, &mut out, &mut completed_views, &p, completed_at);
-                    if config.pipeline {
-                        pending = issue(db, &speculator, &profile, &pq, &mut out, completed_at)?;
-                    }
-                    if pending.is_none() {
-                        break;
-                    }
-                } else {
-                    pending = Some(p);
-                    break;
-                }
-            }
-        }
-        if te.op.is_go() {
-            // Resolve the in-flight manipulation at GO. The paper's
-            // prototype always cancels; with `wait_at_go` (its Section 7
-            // suggestion) we wait out the remainder when it is smaller
-            // than the manipulation's estimated per-query benefit,
-            // charging the wait to the query's measured time.
-            let mut wait = VirtualTime::ZERO;
-            if let Some(p) = pending.take() {
-                let remaining = p.finish_at.saturating_sub(now);
-                if config.wait_at_go && remaining.as_secs_f64() < p.benefit_secs {
-                    wait = remaining;
-                    out.waited += 1;
-                    complete(&observer, &mut out, &mut completed_views, &p, p.finish_at);
-                } else {
-                    cancel_pending(&observer, &mut out, &p, CancelReason::Go);
-                    rollback(db, &p);
-                }
-            }
-            tracer.instant(specdb_obs::SpanKind::Edit, "go", now.as_micros(), |a| {
-                a.push(("query", query_index.into()));
-            });
-            if let Some(qs) = question_start.take() {
-                observer
-                    .metrics()
-                    .histogram("lat.time_to_go_secs")
-                    .record(now.saturating_sub(qs).as_secs_f64());
-            }
-            let final_query = pq.query().clone();
-            profile.observe_go(now, &final_query.graph);
-            let result = db.execute_discard(&final_query)?;
-            observer
-                .metrics()
-                .histogram("lat.query_secs")
-                .record((result.elapsed + wait).as_secs_f64());
-            // Settle bets: a completed materialization read by this plan
-            // counts as used exactly once, and its predicted per-query
-            // benefit is calibrated against the realized saving.
-            let go_key = Database::graph_key(&final_query.graph);
-            for view in &result.used_views {
-                if let Some(cv) = completed_views.get_mut(view) {
-                    if !cv.used {
-                        cv.used = true;
-                        out.used += 1;
-                        observer.metrics().counter("spec.used").incr();
-                        // Classify a used prediction: an artifact whose
-                        // graph key equals the GO query's key served the
-                        // answer outright; anything else got there
-                        // through the subsumption rewrite.
-                        if cv.predicted {
-                            if cv.artifact_key.as_deref() == Some(go_key.as_str()) {
-                                out.predicted_hits += 1;
-                                observer.metrics().counter("spec.predicted_hits").incr();
-                            } else {
-                                out.salvaged_hits += 1;
-                                observer.metrics().counter("spec.salvaged_hits").incr();
-                            }
-                        }
-                        if observer.wants(EventKind::SpecUsed) {
-                            observer.emit(Event::SpecUsed { table: view.clone() });
-                        }
-                        if let Ok(base) = db.estimate_query_time_base(&final_query) {
-                            observer.calibration().record_delta(
-                                cv.predicted_delta_secs,
-                                result.elapsed.as_secs_f64() - base.as_secs_f64(),
-                            );
-                        }
-                    }
-                }
-            }
-            out.queries.push(QueryMeasurement {
-                index: query_index,
-                elapsed: result.elapsed + wait,
-                rows: result.row_count,
-            });
-            query_index += 1;
-            offset += result.elapsed + wait;
-            // Garbage-collect materializations the final query no longer
-            // supports (inter-query locality keeps the supported ones).
-            for name in speculator.gc_candidates(db, &final_query.graph) {
-                db.drop_materialized(&name);
-                out.collected += 1;
-                observer.metrics().counter("spec.collected").incr();
-                if observer.wants(EventKind::SpecCollected) {
-                    observer.emit(Event::SpecCollected { table: name.clone() });
-                }
-                if let Some(cv) = completed_views.remove(&name) {
-                    if !cv.used {
-                        out.wasted += 1;
-                        observer.metrics().counter("spec.wasted").incr();
-                        if cv.predicted {
-                            out.predicted_wasted += 1;
-                            observer.metrics().counter("spec.predicted_wasted").incr();
-                        }
-                        if observer.wants(EventKind::SpecWasted) {
-                            observer.emit(Event::SpecWasted { table: name.clone() });
-                        }
-                    }
-                }
-            }
-            for table in db.unsupported_staged(&final_query.graph) {
-                db.unstage(&table);
-                out.collected += 1;
-                observer.metrics().counter("spec.collected").incr();
-                if observer.wants(EventKind::SpecCollected) {
-                    observer.emit(Event::SpecCollected { table: table.clone() });
-                }
-                if let Some(cv) = completed_views.remove(&table) {
-                    if !cv.used {
-                        out.wasted += 1;
-                        observer.metrics().counter("spec.wasted").incr();
-                        if cv.predicted {
-                            out.predicted_wasted += 1;
-                            observer.metrics().counter("spec.predicted_wasted").incr();
-                        }
-                        if observer.wants(EventKind::SpecWasted) {
-                            observer.emit(Event::SpecWasted { table: table.clone() });
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-        profile.observe_edit(now, &te.op);
-        pq.apply(&te.op);
-        question_start.get_or_insert(now);
-        let label = edit_label(&te.op);
-        tracer.instant(specdb_obs::SpanKind::Edit, label, now.as_micros(), |_| {});
-        if observer.wants(EventKind::Edit) {
-            observer.emit(Event::Edit { op: label.to_string() });
-        }
-        // Cancel the in-flight manipulation if the edit invalidated it.
-        if let Some(p) = pending.take() {
-            if speculator.should_cancel(&p.manipulation, pq.graph()) {
-                cancel_pending(&observer, &mut out, &p, CancelReason::Edit);
-                rollback(db, &p);
-            } else {
-                pending = Some(p);
-            }
-        }
-        if config.speculative && pending.is_none() {
-            pending = issue(db, &speculator, &profile, &pq, &mut out, now)?;
-        }
-    }
-    // Builds that survived the final GC without ever being read are
-    // sunk cost all the same.
-    for (table, cv) in &completed_views {
-        if !cv.used {
-            out.wasted += 1;
-            observer.metrics().counter("spec.wasted").incr();
-            if cv.predicted {
-                out.predicted_wasted += 1;
-                observer.metrics().counter("spec.predicted_wasted").incr();
-            }
-            if observer.wants(EventKind::SpecWasted) {
-                observer.emit(Event::SpecWasted { table: table.clone() });
-            }
-        }
-    }
-    if out.predicted_issued > 0 {
-        observer
-            .metrics()
-            .gauge("spec.prediction_waste_ratio")
-            .set(out.prediction_waste_ratio());
-    }
-    let virt_end = trace.edits.last().map(|te| (te.at + offset).as_micros()).unwrap_or(0);
-    let (queries_n, issued, completed, cancelled, used, wasted) =
-        (out.queries.len(), out.issued, out.completed, out.cancelled, out.used, out.wasted);
-    session_span.finish_with(virt_end, |a| {
-        a.push(("queries", queries_n.into()));
-        a.push(("issued", issued.into()));
-        a.push(("completed", completed.into()));
-        a.push(("cancelled", cancelled.into()));
-        a.push(("used", used.into()));
-        a.push(("wasted", wasted.into()));
-    });
-    Ok(out)
+    let config = MultiSessionConfig { replay: config.clone(), governor: GovernorConfig::default() };
+    let mut out = replay_multi_session(db, std::slice::from_ref(trace), &config)?;
+    Ok(out.per_session.swap_remove(0))
 }
 
 #[cfg(test)]

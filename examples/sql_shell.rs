@@ -11,9 +11,10 @@
 //! Run with: `cargo run --release --example sql_shell`
 //! (pipe a script: `echo "SELECT * FROM customer WHERE c_nation='PERU'" | cargo run --release --example sql_shell`)
 
-use specdb::core::{SpeculativeSession, SpeculatorConfig};
+use specdb::core::SpeculatorConfig;
 use specdb::exec::{Database, DatabaseConfig};
 use specdb::prelude::*;
+use specdb::serve::{GovernorConfig, SessionManager};
 use specdb::tpch::{generate_into, TpchConfig};
 use std::io::{BufRead, Write};
 
@@ -24,7 +25,9 @@ fn main() {
     let mut db = Database::new(DatabaseConfig::with_buffer_pages(4096));
     generate_into(&mut db, &TpchConfig::new(8)).expect("generate");
     db.clear_buffer();
-    let mut session = SpeculativeSession::new(db, SpeculatorConfig::default());
+    let manager = SessionManager::new(db, SpeculatorConfig::default(), GovernorConfig::default());
+    let (_, handle) = manager.connect("shell");
+    let mut session = handle.lock();
     println!(
         "ready. SQL (conjunctive SELECT-FROM-WHERE), \\views, \\stats, \\explain <sql>, \\quit"
     );
@@ -45,7 +48,7 @@ fn main() {
         match line {
             "\\quit" | "\\q" => break,
             "\\views" => {
-                session.with_db(|db| {
+                manager.with_db(|db| {
                     if db.views().is_empty() {
                         println!("(no materialized views)");
                     }
@@ -70,7 +73,7 @@ fn main() {
             Some(rest) => (true, rest),
             None => (false, line),
         };
-        let parsed = session.with_db(|db| parse_sql(db, sql));
+        let parsed = manager.with_db(|db| parse_sql(db, sql));
         let query = match parsed {
             Ok(q) => q,
             Err(e) => {
@@ -80,7 +83,7 @@ fn main() {
         };
         if explain_only {
             // Plan without executing.
-            let plan = session.with_db(|db| {
+            let plan = manager.with_db(|db| {
                 db.estimate_query_time(&query).map(|t| {
                     let out = db.execute_discard(&query); // executes to show the real plan
                     (t, out)
@@ -109,7 +112,8 @@ fn main() {
             session.edit(EditOp::AddProjection(rel.clone(), col.clone()));
         }
         match session.go_with(&query) {
-            Ok(outp) => {
+            Ok(go) => {
+                let outp = go.output;
                 for row in outp.rows.iter().take(10) {
                     let cells: Vec<String> = row.values().iter().map(|v| format!("{v}")).collect();
                     println!("{}", cells.join(" | "));
@@ -138,5 +142,7 @@ fn main() {
         }
     }
     println!("bye");
-    session.finish();
+    drop(session);
+    drop(handle);
+    manager.into_database();
 }

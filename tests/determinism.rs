@@ -191,44 +191,6 @@ fn replay_identical_with_prediction_on_and_off() {
     }
 }
 
-/// The fleet governor is behaviour-neutral for a lone session: the
-/// multi-session replay of a single trace must produce the bit-identical
-/// [`ReplayOutcome`] as the pre-governor single-session path — at one
-/// *and* several worker threads (the acceptance bar for PR 8's serving
-/// layer).
-///
-/// [`ReplayOutcome`]: specdb::sim::replay::ReplayOutcome
-#[test]
-fn single_session_under_governor_identical_to_plain_replay() {
-    use specdb::sim::{replay_multi_session, MultiSessionConfig};
-    let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-    let trace = UserModel::default().generate("u", 1234);
-    for threads in [1usize, 4] {
-        let single = {
-            let mut db = base.clone();
-            db.set_threads(threads);
-            replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap()
-        };
-        assert!(single.issued > 0, "trace must exercise speculation");
-        let multi = {
-            let mut db = base.clone();
-            db.set_threads(threads);
-            replay_multi_session(
-                &mut db,
-                std::slice::from_ref(&trace),
-                &MultiSessionConfig::speculative(),
-            )
-            .unwrap()
-        };
-        assert_eq!(
-            multi.per_session[0], single,
-            "the governor changed a lone session's replay at {threads} threads"
-        );
-        assert_eq!(multi.shared_hits, 0);
-        assert_eq!(multi.preempted, 0);
-    }
-}
-
 /// The concurrent multi-session replay itself is deterministic and
 /// thread-count-invariant: same traces, same fleet outcome — counters,
 /// timings, shared-hit accounting — at 1 and 4 worker threads.
@@ -291,4 +253,152 @@ fn stats_are_stable_across_recomputation() {
     let b = TraceStats::compute(&traces);
     assert_eq!(a.think_time, b.think_time);
     assert_eq!(a.selection_persistence, b.selection_persistence);
+}
+
+/// One recorded single-session replay per `ReplayConfig` shape, pinned
+/// as literals: per-query virtual GO times (µs) and row counts,
+/// completed build times (µs), and the lifecycle counters `[issued,
+/// completed, cancelled, collected, waited, used, wasted,
+/// predicted_issued, predicted_hits, salvaged_hits, predicted_wasted]`.
+/// The values were recorded on the pre-fleet single-session replay
+/// loop, so they hold `replay_trace` to that loop's behaviour now that
+/// it runs through the fleet replay. Threads, prediction and top-k are
+/// set explicitly, so every `SPECDB_*` environment setting checks the
+/// same literals.
+#[test]
+fn replay_matches_golden_outcomes() {
+    use specdb::core::UniformProfile;
+    use specdb::exec::MatchMode;
+    use specdb::sim::replay::{ProfileKind, QueryMeasurement, ReplayOutcome};
+    use specdb::storage::VirtualTime;
+    use specdb::trace::UserModelConfig;
+
+    struct Golden {
+        go_us: [u64; 6],
+        builds_us: &'static [u64],
+        counts: [u64; 11],
+    }
+    const ROWS: [u64; 6] = [1350, 1350, 11, 31092, 639, 639];
+    impl Golden {
+        fn outcome(&self) -> ReplayOutcome {
+            let us = VirtualTime::from_micros;
+            let c = self.counts;
+            ReplayOutcome {
+                queries: (0..6)
+                    .map(|i| QueryMeasurement {
+                        index: i,
+                        elapsed: us(self.go_us[i]),
+                        rows: ROWS[i],
+                    })
+                    .collect(),
+                manipulation_times: self.builds_us.iter().map(|&b| us(b)).collect(),
+                issued: c[0],
+                completed: c[1],
+                cancelled: c[2],
+                collected: c[3],
+                waited: c[4],
+                used: c[5],
+                wasted: c[6],
+                predicted_issued: c[7],
+                predicted_hits: c[8],
+                salvaged_hits: c[9],
+                predicted_wasted: c[10],
+            }
+        }
+    }
+
+    let spec = |predict: bool| {
+        let mut cfg = ReplayConfig::speculative();
+        cfg.speculator.predict = predict;
+        cfg.speculator.predict_topk = 3;
+        cfg
+    };
+    let uniform = ProfileKind::Uniform(UniformProfile::default());
+    let shapes = [
+        (
+            "normal",
+            ReplayConfig { speculative: false, ..spec(false) },
+            MatchMode::Exact,
+            Golden {
+                go_us: [131050, 47705, 43678, 128606, 55975, 55975],
+                builds_us: &[],
+                counts: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            },
+        ),
+        (
+            "speculative",
+            spec(true),
+            MatchMode::Exact,
+            Golden {
+                go_us: [25295, 2225, 10476, 138876, 61900, 28528],
+                builds_us: &[41935, 72160, 25140, 9875, 35620, 20678, 38905, 5855, 52036],
+                counts: [11, 9, 2, 8, 0, 4, 5, 2, 1, 0, 1],
+            },
+        ),
+        (
+            "wait-at-GO",
+            ReplayConfig { wait_at_go: true, ..spec(false) },
+            MatchMode::Exact,
+            Golden {
+                go_us: [25295, 15420, 10476, 129013, 123930, 57643],
+                builds_us: &[41935, 72160, 25140, 9875, 20678, 18760, 6488, 132416, 114841, 32939],
+                counts: [10, 10, 0, 8, 2, 5, 5, 0, 0, 0, 0],
+            },
+        ),
+        (
+            "pipeline",
+            ReplayConfig { pipeline: true, ..spec(true) },
+            MatchMode::Exact,
+            Golden {
+                go_us: [25295, 2225, 22, 140456, 61900, 7599],
+                builds_us: &[
+                    41935, 72160, 25140, 9875, 5228, 35620, 20678, 38905, 9253, 10981, 5855, 52036,
+                    37284, 25544, 44460, 6440,
+                ],
+                counts: [18, 16, 2, 11, 0, 5, 11, 3, 2, 0, 1],
+            },
+        ),
+        (
+            "uniform",
+            ReplayConfig { profile: uniform, ..spec(false) },
+            MatchMode::Exact,
+            Golden {
+                go_us: [25295, 15420, 10476, 150726, 61900, 38403],
+                builds_us: &[41935, 72160, 25140, 9875, 18760, 20678, 6488, 52036],
+                counts: [10, 8, 2, 7, 0, 3, 5, 0, 0, 0, 0],
+            },
+        ),
+        (
+            "subsume",
+            spec(true),
+            MatchMode::Subsume,
+            Golden {
+                go_us: [25295, 2225, 3402, 137296, 61900, 44328],
+                builds_us: &[41935, 72160, 25140, 9875, 35620, 38905, 2630, 7958, 52036],
+                counts: [11, 9, 2, 8, 0, 3, 6, 2, 1, 0, 1],
+            },
+        ),
+    ];
+
+    let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+    // Short think times, so builds are still running at later edits and
+    // at GO: the cancel and wait-at-GO paths both fire.
+    let model = UserModelConfig {
+        queries: 6,
+        questions: 2,
+        think_median_secs: 0.2,
+        think_min_secs: 0.01,
+        think_max_secs: 2.0,
+        ..Default::default()
+    };
+    let trace = UserModel::new(model, specdb::tpch::ExploreDomain::tpch()).generate("golden", 18);
+    for (name, cfg, match_mode, golden) in shapes {
+        for threads in [1usize, 4] {
+            let mut db = base.clone();
+            db.set_threads(threads);
+            db.set_match_mode(match_mode);
+            let out = replay_trace(&mut db, &trace, &cfg).unwrap();
+            assert_eq!(out, golden.outcome(), "{name} replay at {threads} threads left its golden");
+        }
+    }
 }
