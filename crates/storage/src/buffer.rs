@@ -16,7 +16,6 @@ use crate::disk::ResourceDemand;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{FileId, Page, PageId, PAGE_SIZE};
 use crate::segcache::SegCache;
-use crate::tuple::Tuple;
 use specdb_obs::{Counter, Event, EventKind, Observer};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -365,19 +364,6 @@ impl BufferPool {
         Arc::clone(&self.seg_cache)
     }
 
-    /// Row-major compatibility wrapper over
-    /// [`BufferPool::read_page_columnar`]: gathers the columnar segment
-    /// back into tuples. Kept for the legacy row-major batch arm of the
-    /// `executor` bench; accounting is identical to the columnar read.
-    pub fn read_page_decoded(
-        &mut self,
-        pid: PageId,
-        kind: AccessKind,
-    ) -> StorageResult<Arc<Vec<Tuple>>> {
-        let seg = self.read_page_columnar(pid, kind)?;
-        Ok(Arc::new(seg.to_tuples()))
-    }
-
     /// Pin `file` into the decoded segment cache: its pages are cached on
     /// first decoded read regardless of file size or cache budget, and
     /// stay cached until the file is written or freed. Used for
@@ -555,6 +541,7 @@ impl std::fmt::Debug for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
 
     fn page_with(byte: u8) -> Page {
         let mut p = Page::new();
@@ -754,13 +741,6 @@ mod tests {
         let d = pool.demand_since(before);
         assert_eq!((d.seq_reads, d.hits), (0, 1));
         assert!(Arc::ptr_eq(&seg, &again), "repeat read must reuse the decoded segment");
-        // The row-major adapter reads through the same cache and charges
-        // the same way.
-        let before = pool.snapshot();
-        let tuples = pool.read_page_decoded(PageId::new(f, 0), AccessKind::Sequential).unwrap();
-        assert_eq!(tuples.len(), 1);
-        let d = pool.demand_since(before);
-        assert_eq!((d.seq_reads, d.hits), (0, 1));
     }
 
     #[test]
@@ -770,15 +750,15 @@ mod tests {
         let mut page = Page::new();
         page.insert(&Tuple::new(vec![crate::tuple::Value::Int(1)]).encode()).unwrap();
         pool.put_page(PageId::new(f, 0), page).unwrap();
-        pool.read_page_decoded(PageId::new(f, 0), AccessKind::Sequential).unwrap();
+        pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         assert_eq!(pool.seg_resident(), 1);
         // Overwriting the page drops the stale decode.
         let mut page2 = Page::new();
         page2.insert(&Tuple::new(vec![crate::tuple::Value::Int(2)]).encode()).unwrap();
         pool.put_page(PageId::new(f, 0), page2).unwrap();
         assert_eq!(pool.seg_resident(), 0);
-        let t = pool.read_page_decoded(PageId::new(f, 0), AccessKind::Sequential).unwrap();
-        assert_eq!(t[0], Tuple::new(vec![crate::tuple::Value::Int(2)]));
+        let seg = pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
+        assert_eq!(seg.tuple(0), Tuple::new(vec![crate::tuple::Value::Int(2)]));
         // Freeing the file drops its decoded pages and hot mark.
         pool.mark_hot(f);
         pool.free_file(f);
@@ -794,10 +774,10 @@ mod tests {
         let mut page = Page::new();
         page.insert(&Tuple::new(vec![crate::tuple::Value::Int(1)]).encode()).unwrap();
         pool.put_page(PageId::new(f, 0), page).unwrap();
-        pool.read_page_decoded(PageId::new(f, 0), AccessKind::Sequential).unwrap();
+        pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         assert_eq!(pool.seg_resident(), 0, "budget 0 blocks auto-caching");
         pool.mark_hot(f);
-        pool.read_page_decoded(PageId::new(f, 0), AccessKind::Sequential).unwrap();
+        pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         assert_eq!(pool.seg_resident(), 1, "hot files cache regardless of budget");
         pool.unmark_hot(f);
         assert_eq!(pool.seg_resident(), 0);

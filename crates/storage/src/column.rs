@@ -448,8 +448,7 @@ impl ColumnSegment {
         Tuple::new((0..self.cols.len()).map(|c| self.col(c)[row].clone()).collect())
     }
 
-    /// Gather every row back into row-major tuples — the compatibility
-    /// adapter the legacy row-major batch path scans through.
+    /// Gather every row back into row-major tuples.
     pub fn to_tuples(&self) -> Vec<Tuple> {
         (0..self.rows).map(|r| self.tuple(r)).collect()
     }
