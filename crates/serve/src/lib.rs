@@ -90,5 +90,5 @@ pub use artifacts::{
 pub use governor::{Admission, Governor, GovernorConfig, GovernorStats};
 pub use manager::{FleetStats, SessionManager};
 pub use proto::{parse_request, Request};
-pub use server::{serve, ServeConfig, ServerHandle};
+pub use server::{serve, ServeConfig, ServerHandle, MAX_REQUEST_LINE};
 pub use session::{GoOutcome, ServeSession, ServeSessionStats};

@@ -16,7 +16,7 @@
 //!
 //! [`SessionManager`]: crate::SessionManager
 
-use crate::artifacts::{BeginBuild, CompleteBuild, SessionId, SharedArtifactCache};
+use crate::artifacts::{BeginBuild, BuildTicket, CompleteBuild, SessionId, SharedArtifactCache};
 use crate::governor::{Admission, Governor};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -53,9 +53,33 @@ pub struct ServeSessionStats {
     pub collected: u64,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WorkerEvent {
     Done,
     Cancelled,
+}
+
+/// Owned by a build thread. However the thread ends — done, cancelled,
+/// stale, or panicking — dropping the guard releases the session's
+/// governor slot, abandons the build ticket unless `complete_build`
+/// consumed it, and reports the outcome to the session.
+struct BuildGuard {
+    session: SessionId,
+    governor: Arc<Governor>,
+    artifacts: Arc<SharedArtifactCache>,
+    ticket: Option<BuildTicket>,
+    events: Sender<WorkerEvent>,
+    outcome: WorkerEvent,
+}
+
+impl Drop for BuildGuard {
+    fn drop(&mut self) {
+        self.governor.finish(self.session);
+        if let Some(ticket) = self.ticket.take() {
+            self.artifacts.abort_build(ticket);
+        }
+        let _ = self.events.send(self.outcome);
+    }
 }
 
 struct Outstanding {
@@ -213,46 +237,45 @@ impl ServeSession {
         }
     }
 
-    fn spawn_build(&mut self, m: Manipulation, ticket: Option<crate::artifacts::BuildTicket>) {
+    fn spawn_build(&mut self, m: Manipulation, ticket: Option<BuildTicket>) {
         let cancel = CancelToken::new();
         self.governor.attach_cancel(self.id, cancel.clone());
         let db = Arc::clone(&self.db);
-        let governor = Arc::clone(&self.governor);
-        let artifacts = Arc::clone(&self.artifacts);
-        let tx = self.events.0.clone();
+        let guard = BuildGuard {
+            session: self.id,
+            governor: Arc::clone(&self.governor),
+            artifacts: Arc::clone(&self.artifacts),
+            ticket,
+            events: self.events.0.clone(),
+            outcome: WorkerEvent::Cancelled,
+        };
         let token = cancel.clone();
-        let id = self.id;
         let manipulation = m.clone();
         let handle = std::thread::spawn(move || {
+            let mut guard = guard;
             let result = {
                 let mut db = db.lock();
                 apply_manipulation(&mut db, &manipulation, token)
             };
-            governor.finish(id);
-            match result {
-                Ok(applied) => {
-                    if let Some(ticket) = ticket {
-                        let table = applied.table.clone().unwrap_or_default();
-                        if artifacts.complete_build(ticket, table.clone()) == CompleteBuild::Stale {
-                            // A DDL epoch bump raced the build: the
-                            // result answers a stale snapshot. Drop it.
-                            db.lock().drop_materialized(&table);
-                            let _ = tx.send(WorkerEvent::Cancelled);
-                            return;
-                        }
-                    }
-                    let _ = tx.send(WorkerEvent::Done);
-                }
-                Err(_) => {
-                    if let Some(ticket) = ticket {
-                        artifacts.abort_build(ticket);
-                    }
-                    let _ = tx.send(WorkerEvent::Cancelled);
+            let Ok(applied) = result else { return };
+            if let Some(ticket) = guard.ticket.take() {
+                let table = applied.table.clone().unwrap_or_default();
+                if guard.artifacts.complete_build(ticket, table.clone()) == CompleteBuild::Stale {
+                    // A DDL epoch bump raced the build: the result
+                    // answers a stale snapshot. Drop it.
+                    db.lock().drop_materialized(&table);
+                    return;
                 }
             }
+            guard.outcome = WorkerEvent::Done;
         });
         self.stats.issued += 1;
         self.outstanding = Some(Outstanding { manipulation: m, cancel, handle });
+    }
+
+    /// Whether this session's speculative build is still running.
+    pub(crate) fn build_in_flight(&self) -> bool {
+        self.outstanding.as_ref().is_some_and(|out| !out.handle.is_finished())
     }
 
     /// Cancel the in-flight build, if any. Returns whether one was
@@ -354,4 +377,41 @@ pub struct GoOutcome {
     /// Whether the plan read at least one artifact built by a
     /// different session.
     pub shared_hit: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::GovernorConfig;
+
+    #[test]
+    fn panicking_build_releases_its_slot_and_ticket() {
+        let governor = Arc::new(Governor::new(GovernorConfig::default()));
+        let artifacts = Arc::new(SharedArtifactCache::new());
+        assert_eq!(governor.admit(1, 1.0, "materialize{k}"), Admission::Admit);
+        let ticket = match artifacts.begin_build("k", 1) {
+            BeginBuild::Started(t) => t,
+            other => panic!("expected Started, got {other:?}"),
+        };
+        let (events, outcomes) = unbounded();
+        let guard = BuildGuard {
+            session: 1,
+            governor: Arc::clone(&governor),
+            artifacts: Arc::clone(&artifacts),
+            ticket: Some(ticket),
+            events,
+            outcome: WorkerEvent::Cancelled,
+        };
+        let build = std::thread::spawn(move || {
+            let _guard = guard;
+            panic!("build failed halfway");
+        });
+        assert!(build.join().is_err(), "the build thread must have panicked");
+        assert_eq!(governor.outstanding(), 0, "the slot must return to the fleet");
+        assert!(
+            matches!(artifacts.begin_build("k", 2), BeginBuild::Started(_)),
+            "the key must not stay pinned in flight"
+        );
+        assert_eq!(outcomes.try_recv(), Ok(WorkerEvent::Cancelled));
+    }
 }

@@ -28,7 +28,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A minimal line-protocol client: one request line out, one JSON
-/// response line back.
+/// response line back. Each request leaves in one write on a
+/// `TCP_NODELAY` socket, so it is not held back waiting for an ACK.
 struct Client {
     name: &'static str,
     writer: TcpStream,
@@ -38,6 +39,7 @@ struct Client {
 impl Client {
     fn connect(name: &'static str, addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect to serve()");
+        stream.set_nodelay(true).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         let mut c = Client { name, writer: stream, reader };
@@ -46,8 +48,7 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Value {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.writer.flush().unwrap();
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read response");
         println!("  {:>5} > {line}", self.name);

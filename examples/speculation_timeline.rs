@@ -14,7 +14,8 @@
 //! (optional first argument: path for the JSONL event log, default
 //! `target/speculation_timeline.jsonl`; the Perfetto trace and HTML
 //! dashboard are written next to it with `.trace.json` and `.html`
-//! extensions).
+//! extensions). An existing directory, or a path ending in `/`, gets
+//! `speculation_timeline.{jsonl,trace.json,html}` inside it.
 
 use specdb::obs::events::parse_jsonl;
 use specdb::obs::span::validate_chrome_trace;
@@ -50,9 +51,12 @@ fn describe(event: &Event) -> Option<String> {
 }
 
 fn main() {
-    let path = std::env::args()
+    let mut path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/speculation_timeline.jsonl".to_string());
+    if path.ends_with('/') || std::path::Path::new(&path).is_dir() {
+        path = format!("{}/speculation_timeline.jsonl", path.trim_end_matches('/'));
+    }
     if let Some(dir) = std::path::Path::new(&path).parent() {
         std::fs::create_dir_all(dir).expect("create log directory");
     }

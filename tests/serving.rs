@@ -3,13 +3,15 @@
 //! with two sessions sharing one speculative artifact.
 
 use serde_json::{parse, Value};
+use specdb::core::{SpaceConfig, SpeculatorConfig};
 use specdb::serve::{
-    serve, BeginBuild, CompleteBuild, ServeConfig, SessionId, SharedArtifactCache,
+    serve, Admission, BeginBuild, CompleteBuild, ServeConfig, ServerHandle, SessionId,
+    SharedArtifactCache, MAX_REQUEST_LINE,
 };
 use specdb::sim::{build_base_db, DatasetSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The cache's bookkeeping must stay coherent when many sessions
 /// register, look up, lease, and collect concurrently: no lost entries,
@@ -119,7 +121,9 @@ fn epoch_invalidation_racing_in_flight_build_never_installs_stale() {
     }
 }
 
-/// A tiny line-protocol client for the end-to-end test.
+/// A tiny line-protocol client. Like the server, it sends each line in
+/// one write on a `TCP_NODELAY` socket, so neither side waits on the
+/// other's delayed ACK.
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -128,20 +132,39 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect to serve()");
+        stream.set_nodelay(true).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         Client { writer: stream, reader }
     }
 
-    fn send(&mut self, line: &str) -> Value {
-        writeln!(self.writer, "{line}").expect("write request");
-        self.writer.flush().unwrap();
+    fn reply(&mut self) -> Value {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read response");
-        let v = parse(reply.trim()).unwrap_or_else(|e| panic!("bad JSON for {line:?}: {e}"));
-        assert_eq!(field(&v, "ok"), &Value::Bool(true), "{line} -> {reply}");
+        parse(reply.trim()).unwrap_or_else(|e| panic!("bad JSON {reply:?}: {e}"))
+    }
+
+    fn send(&mut self, line: &str) -> Value {
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
+        let v = self.reply();
+        assert_eq!(field(&v, "ok"), &Value::Bool(true), "{line} -> {v:?}");
         v
     }
+}
+
+/// A server on the tiny dataset whose sessions never speculate, so a
+/// request costs only the wire and the edit itself.
+fn quiet_server() -> ServerHandle {
+    let db = build_base_db(&DatasetSpec::tiny()).unwrap();
+    let space = SpaceConfig {
+        histograms: false,
+        indexes: false,
+        materializations: false,
+        selections_only: false,
+        staging: false,
+    };
+    let speculator = SpeculatorConfig { space, predict: false, ..SpeculatorConfig::default() };
+    serve(db, ServeConfig { speculator, ..ServeConfig::default() }).expect("bind")
 }
 
 fn field<'a>(v: &'a Value, name: &str) -> &'a Value {
@@ -221,5 +244,84 @@ fn wire_protocol_serves_concurrent_sessions_with_shared_artifacts() {
 
     bob.send("QUIT");
     alice.send("QUIT");
+    handle.shutdown();
+}
+
+/// An EDIT's round trip costs the edit, not a TCP timer. A reply
+/// written in two segments on a socket without `TCP_NODELAY` waits for
+/// the client's delayed ACK, which puts every round trip at about 44 ms
+/// on Linux; the bound sits well below that floor.
+#[test]
+fn edit_round_trip_is_not_held_by_delayed_ack() {
+    let handle = quiet_server();
+    let mut client = Client::connect(handle.addr());
+    client.send("CONNECT timer");
+    let mut rtts: Vec<Duration> = (0..21)
+        .map(|i| {
+            let verb = if i % 2 == 0 { "ADD_RELATION" } else { "REMOVE_RELATION" };
+            let sent = Instant::now();
+            client.send(&format!("EDIT {verb} lineitem"));
+            sent.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(20), "median EDIT round trip {median:?}: {rtts:?}");
+    client.send("QUIT");
+    handle.shutdown();
+}
+
+/// An over-long request line gets one error reply; its bytes are
+/// dropped and the next request on the same connection is served.
+#[test]
+fn over_long_line_gets_one_error_and_the_connection_stays_open() {
+    let handle = quiet_server();
+    let mut client = Client::connect(handle.addr());
+    client.send("CONNECT long");
+    let mut burst = vec![b'x'; 1 << 20];
+    assert!(burst.len() > MAX_REQUEST_LINE);
+    burst.extend_from_slice(b"\nEDIT ADD_RELATION lineitem\n");
+    client.writer.write_all(&burst).expect("write the long line");
+    let error = client.reply();
+    assert_eq!(field(&error, "ok"), &Value::Bool(false), "{error:?}");
+    assert!(
+        matches!(field(&error, "error"), Value::Str(e) if e.contains("longer than")),
+        "the error must name the line cap: {error:?}"
+    );
+    let edited = client.reply();
+    assert_eq!(field(&edited, "ok"), &Value::Bool(true), "{edited:?}");
+    assert_eq!(as_u64(field(&edited, "relations")), 1);
+    client.send("QUIT");
+    handle.shutdown();
+}
+
+/// Shutdown closes connections a client still holds open: their
+/// sessions disconnect (releasing their leases) and the client reads
+/// EOF.
+#[test]
+fn shutdown_closes_open_connections() {
+    let handle = quiet_server();
+    let manager = handle.manager().clone();
+    let mut client = Client::connect(handle.addr());
+    client.send("CONNECT lingering");
+    client.send("EDIT ADD_RELATION lineitem");
+    assert_eq!(manager.session_count(), 1);
+    handle.shutdown();
+    assert_eq!(manager.session_count(), 0, "shutdown must disconnect every session");
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).expect("read after shutdown"), 0, "{rest:?}");
+}
+
+/// EDIT's `outstanding` is this session's build, not the fleet's: a
+/// slot another session holds must not show up in it.
+#[test]
+fn edit_outstanding_reports_only_this_sessions_build() {
+    let handle = quiet_server();
+    assert_eq!(handle.manager().governor().admit(999, 1.0, "elsewhere"), Admission::Admit);
+    let mut client = Client::connect(handle.addr());
+    client.send("CONNECT idle");
+    let edited = client.send("EDIT ADD_RELATION lineitem");
+    assert_eq!(field(&edited, "outstanding"), &Value::Bool(false), "{edited:?}");
+    client.send("QUIT");
     handle.shutdown();
 }
